@@ -343,46 +343,6 @@ let e7 ~jobs =
     | None, None -> true
     | _ -> false)
 
-(* E7's deep case raced as a portfolio. Runs OUTSIDE the measured
-   records — on a 1-core box the losing lane timeshares the core and
-   roughly doubles the wall (DESIGN's portfolio caveat), which would
-   poison the e7 sweep it rode in — but it still feeds the cumulative
-   metrics snapshot. This is what keeps the portfolio win-accounting
-   honest in the BENCH files: no experiment drove a real race before
-   BENCH_5 ([enforce ~backend:Portfolio] degrades to the ladder at
-   jobs = 1, Engine's default, and E7/E8 only ever named the two
-   concrete backends), which is why the win counters sat at zero for
-   three releases while looking broken. *)
-let e7_portfolio () =
-  section "E7b" "portfolio race on the deep case (unmeasured)";
-  let trans = F.transformation ~k:2 in
-  let deep_m = 3 in
-  let pool = G.feature_names 4 in
-  let cfs = [ F.configuration ~name:"cf1" pool; F.configuration ~name:"cf2" pool ] in
-  let fm =
-    F.feature_model ~name:"fm"
-      (List.map (fun f -> (f, true)) pool
-      @ List.init deep_m (fun i -> (Printf.sprintf "N%d" i, true)))
-  in
-  let r, dt =
-    time_it (fun () ->
-        Echo.Engine.enforce ~backend:Echo.Engine.Portfolio ~jobs:2
-          ~slack_objects:deep_m trans ~metamodels:F.metamodels
-          ~models:(F.bind ~cfs ~fm)
-          ~targets:(Echo.Target.of_list [ "cf1"; "cf2" ]))
-  in
-  match r with
-  | Ok (Echo.Engine.Enforced r) ->
-    Format.printf "  portfolio on the deep case: d=%d via the %s lane (%.0f ms)@."
-      r.Echo.Engine.relational_distance
-      (match r.Echo.Engine.backend with
-      | Echo.Engine.Iterative -> "iterative"
-      | Echo.Engine.Maxsat -> "maxsat"
-      | Echo.Engine.Portfolio -> "portfolio")
-      (dt *. 1000.)
-  | Ok _ -> Format.printf "  portfolio on the deep case: no repair needed@."
-  | Error e -> Format.printf "  portfolio on the deep case: error: %s@." e
-
 (* ------------------------------------------------------------------ *)
 (* E8: scaling                                                         *)
 
@@ -1577,17 +1537,11 @@ let () =
   (* the metrics snapshot is cumulative over the whole run, so it is
      attached once per file, after every record has executed *)
   let metrics () = [ ("metrics", Obs.Metrics.to_json ()) ] in
-  (* run after every measured record (it perturbs wall-clock on small
-     boxes) but before the metrics snapshot is taken *)
-  let maybe_portfolio selected =
-    if List.exists (fun (eid, _, _) -> eid = "e7") selected then e7_portfolio ()
-  in
   let run () =
     match drop_flags args with
     | [] ->
       if json then begin
         let records = List.concat_map (measure_sweep ~reps sweep) experiments in
-        maybe_portfolio experiments;
         write_json ~extra:(metrics ()) out records;
         write_bench3 ();
         write_bench8 ();
@@ -1595,7 +1549,6 @@ let () =
       end
       else begin
         List.iter (fun (_, _, f) -> f ~jobs:run_jobs) experiments;
-        maybe_portfolio experiments;
         bechamel_suite ()
       end
     | [ "bench" ] -> bechamel_suite ()
@@ -1616,7 +1569,6 @@ let () =
       in
       if json then begin
         let records = List.concat_map (measure_sweep ~reps sweep) selected in
-        maybe_portfolio selected;
         write_json ~extra:(metrics ()) out records;
         if List.exists (fun (eid, _, _) -> eid = "e9" || eid = "e10") selected
         then write_bench3 ();
@@ -1625,10 +1577,7 @@ let () =
         if List.exists (fun (eid, _, _) -> eid = "e12") selected then
           write_bench9 ()
       end
-      else begin
-        List.iter (fun (_, _, f) -> f ~jobs:run_jobs) selected;
-        maybe_portfolio selected
-      end
+      else List.iter (fun (_, _, f) -> f ~jobs:run_jobs) selected
   in
   match trace with
   | None -> run ()

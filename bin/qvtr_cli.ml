@@ -152,12 +152,6 @@ let run_enforce trans_file mm_file models_file targets standard backend
       load_inputs ~trans_file ~mm_file ~models_file
     in
     advisory_lint ~no_lint ~trans_file trans ~metamodels ~models;
-    let backend =
-      match backend with
-      | "maxsat" -> Echo.Engine.Maxsat
-      | "portfolio" -> Echo.Engine.Portfolio
-      | _ -> Echo.Engine.Iterative
-    in
     let* outcome =
       Echo.Engine.enforce ~backend ~mode:(mode_of_standard standard)
         ~slack_objects:slack ~jobs ~sbp trans ~metamodels ~models
@@ -805,14 +799,9 @@ let backend_arg =
     value
     & opt
         (enum
-           [ ("iterative", "iterative");
-             ("maxsat", "maxsat");
-             ("portfolio", "portfolio") ])
-        "iterative"
-    & info [ "backend" ]
-        ~doc:
-          "Repair backend: iterative (Echo), maxsat, or portfolio (race both \
-           on worker domains; needs --jobs >= 2).")
+           [ ("iterative", Echo.Engine.Iterative); ("maxsat", Echo.Engine.Maxsat) ])
+        Echo.Engine.Iterative
+    & info [ "backend" ] ~doc:"Repair backend: iterative (Echo) or maxsat.")
 
 let jobs_arg =
   Arg.(
@@ -820,11 +809,10 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Parallelism budget: the iterative backend probes N distance levels \
-           speculatively on worker domains; the portfolio races its lanes. \
-           The repair distance is identical for every N. N = 0 (the default) \
-           auto-sizes from the available cores \
-           (Domain.recommended_domain_count); an explicit N is always \
-           honoured as given.")
+           speculatively on worker domains. The repair distance is \
+           identical for every N. N = 0 (the default) auto-sizes from the \
+           available cores (Domain.recommended_domain_count); an explicit N \
+           is always honoured as given.")
 
 let slack_arg =
   Arg.(

@@ -9,18 +9,12 @@
 type backend =
   | Iterative  (** increasing-distance search (Echo FASE'13) *)
   | Maxsat  (** weighted partial MaxSAT (FASE'14 extension) *)
-  | Portfolio
-      (** race both backends on worker domains, first usable outcome
-          wins and the loser is cancelled; requires [jobs >= 2]
-          (degrades to {!Iterative} otherwise). The
-          {!enforce_result.backend} field reports the winning lane. *)
 
 type enforce_result = {
   repaired : (Mdl.Ident.t * Mdl.Model.t) list;
   relational_distance : int;
   edit_distance : int;
   iterations : int;
-  backend : backend;
   stats : Telemetry.t;
       (** instrumentation roll-up of the repair: translation size,
           solver counters, per-distance iterations, timings *)
@@ -62,9 +56,9 @@ val enforce :
 
     [jobs] (default 1) is the parallelism budget: the iterative
     backend probes that many distance levels speculatively
-    ({!Repair.run}); the portfolio uses it to race lanes. The
-    relational distance of the result is identical for every [jobs]
-    value.
+    ({!Repair.run}); the MaxSAT descent is sequential and ignores it.
+    The relational distance of the result is identical for every
+    [jobs] value.
 
     [sbp] (default [true]) enables the bounds-level symmetry analysis
     and lex-leader symmetry-breaking predicates ({!Space.build});
@@ -90,7 +84,8 @@ val enforce_all :
     (default 16), in the canonical order of {!Repair.run_all}
     (jobs-invariant): a singleton [Already_consistent] or
     [Cannot_restore], or one [Enforced] per repair — the menu a
-    multidirectional Echo UI would offer the user (paper §4).
+    multidirectional Echo UI would offer the user (paper §4). [Error]
+    when [limit < 1].
     [jobs >= 2] shards the enumeration across worker domains with
     adaptive cube splitting ([split_after] is the per-cube wall-time
     budget before an overweight cube is split; see

@@ -1,15 +1,9 @@
 type outcome = Repair.outcome
 
-let run ?(jobs = 1) ?token space =
-  if jobs < 1 then invalid_arg "Maxsat_repair.run: jobs must be >= 1";
+let run space =
   try
     let started = Sat.Telemetry.now () in
     let maxsat = Sat.Maxsat.create () in
-    Option.iter
-      (fun tok ->
-        Parallel.Pool.on_cancel tok (fun () ->
-            Sat.Solver.interrupt (Sat.Maxsat.solver maxsat)))
-      token;
     let trans =
       Relog.Translate.create ~solver:(Sat.Maxsat.solver maxsat) (Space.bounds space)
     in
@@ -48,12 +42,10 @@ let run ?(jobs = 1) ?token space =
       let counts = Sat.Maxsat.clause_counts maxsat in
       let solver_stats = Sat.Solver.stats (Sat.Maxsat.solver maxsat) in
       {
-        (* The MaxSAT descent is inherently sequential (each bound
-           depends on the previous model), so [jobs] is recorded but
-           adds no workers here; parallelism arrives via the backend
-           portfolio racing this against the iterative ladder. *)
+        (* The MaxSAT descent is inherently sequential: each bound
+           depends on the previous model. *)
         Telemetry.backend = "maxsat";
-        jobs;
+        jobs = 1;
         translation = Relog.Translate.stats trans;
         solver = solver_stats;
         solver_calls = solver_stats.Sat.Solver.solves;
@@ -112,7 +104,7 @@ let run ?(jobs = 1) ?token space =
           Sat.Maxsat.add_hard maxsat clause;
           solve ())
     in
-    (try solve () with Sat.Solver.Interrupted -> Error "interrupted")
+    solve ()
   with
   | Relog.Translate.Unsupported msg -> Error msg
   | Invalid_argument msg -> Error msg

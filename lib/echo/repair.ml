@@ -1,5 +1,5 @@
 (* Stack-wide roll-ups (Obs.Metrics registry); per-run figures stay in
-   the [search] accumulators below. *)
+   the ladder's [menu] and the [search] accumulators below. *)
 let m_iterations = Obs.Metrics.counter "echo.repair.iterations"
 let m_blocked = Obs.Metrics.counter "echo.repair.blocked_nonconformant"
 let m_runs = Obs.Metrics.counter "echo.repair.runs"
@@ -36,19 +36,133 @@ type outcome =
   | Repaired of success
   | Cannot_restore
 
-(* Shared setup of the iterative search: finder, totalizer over the
-   change literals, and the telemetry accumulators. The counters are
-   atomics so worker domains may bump them concurrently. *)
+(* A decoded conformant instance: the target models and both
+   distances, before the run's totals are known. *)
+type found = {
+  f_repaired : (Mdl.Ident.t * Mdl.Model.t) list;
+  f_distance : int;
+  f_edit : int;
+}
+
+let decode space inst =
+  Result.map
+    (fun repaired ->
+      {
+        f_repaired = repaired;
+        f_distance = Space.relational_distance space inst;
+        f_edit = Space.edit_distance space repaired;
+      })
+    (Space.decode_targets space inst)
+
+let success_of ~iterations ~stats f =
+  {
+    repaired = f.f_repaired;
+    relational_distance = f.f_distance;
+    edit_distance = f.f_edit;
+    iterations;
+    stats;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The least-change ladder                                              *)
+
+type 'a menu = {
+  entries : 'a list;
+  levels : (int * int) list;
+  rejected : int;
+}
+
+(* Canonical serialization of a repair: the dedup key and the
+   deterministic menu order. *)
+let repair_key repaired =
+  String.concat "\x00"
+    (List.map
+       (fun (p, m) -> Mdl.Ident.name p ^ "\x01" ^ Mdl.Serialize.model_to_string m)
+       repaired)
+
+(* Distinct SAT assignments can decode to identical models (e.g.
+   symmetric uses of slack atoms not covered by the symmetry
+   breaking); deduplicate on the canonical key, hashed, and sort on it
+   so the menu is independent of discovery order (and of [jobs]). *)
+let canonical ~models entries =
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun e ->
+      let key = repair_key (models e) in
+      if Hashtbl.mem seen key then begin
+        Obs.Metrics.incr m_dedup_discards;
+        None
+      end
+      else begin
+        Hashtbl.add seen key ();
+        Some (key, e)
+      end)
+    entries
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd
+
+let check_limit limit =
+  if limit < 1 then Error (Printf.sprintf "repair limit must be >= 1 (got %d)" limit)
+  else Ok ()
+
+let least_change ?(prefix = []) ?scope ~cap ~limit ~decode ~models finder card =
+  let ( let* ) = Result.bind in
+  let* () = check_limit limit in
+  let levels = ref [] in  (* (distance, solver calls), reversed *)
+  let rejected = ref 0 in
+  (* Every instance at distance k, up to [limit]; each one is blocked
+     (under [scope] when given) so the next solve finds another, and
+     non-conformant ones are skipped without counting. *)
+  let rec collect k acc n =
+    if n >= limit then acc
+    else begin
+      levels :=
+        (match !levels with
+        | (k', c) :: rest when k' = k -> (k, c + 1) :: rest
+        | ls -> (k, 1) :: ls);
+      Obs.Metrics.incr m_iterations;
+      let assumptions = prefix @ Sat.Cardinality.at_most card k @ Option.to_list scope in
+      match
+        Obs.Trace.with_span ~name:"solve"
+          ~args:(fun () ->
+            span_args ~backend:"iterative" ~distance:k
+              ~assumptions:(List.length assumptions) ())
+          (fun () -> Relog.Finder.solve ~assumptions finder)
+      with
+      | Relog.Finder.Unsat -> acc
+      | Relog.Finder.Sat inst -> (
+        let decoded = decode inst in
+        Relog.Finder.block ?scope finder;
+        match decoded with
+        | Ok e -> collect k (e :: acc) (n + 1)
+        | Error _ ->
+          (* The relational instance passed the encoded constraints
+             but the decoded model fails full conformance (the
+             encoding approximates multiplicity lower bounds > 1). *)
+          incr rejected;
+          Obs.Metrics.incr m_blocked;
+          collect k acc n)
+    end
+  in
+  (* Levels below k were proven free of conformant instances, so
+     everything collected at the first non-empty k is minimal. *)
+  let rec climb k =
+    if k > cap then []
+    else match collect k [] 0 with [] -> climb (k + 1) | es -> canonical ~models es
+  in
+  let entries = climb 0 in
+  Ok { entries; levels = List.rev !levels; rejected = !rejected }
+
+(* Shared setup of a search over a space: finder, totalizer over the
+   change literals, and the accumulators of the parallel paths. The
+   counters are atomics so worker domains may bump them concurrently. *)
 type search = {
   finder : Relog.Finder.t;
   card : Sat.Cardinality.t;
   total : int;  (* total weight = totalizer input count *)
   started : float;
-  iterations : int Atomic.t;
-  blocked : int Atomic.t;  (* non-conformant instances excluded *)
-  mutable levels : (int * int) list;  (* (distance, solver calls), reversed;
-                                         serial path only — the parallel
-                                         ladder keeps its own table *)
+  iterations : int Atomic.t;  (* parallel paths' solver calls *)
+  blocked : int Atomic.t;  (* parallel paths' non-conformant instances *)
 }
 
 let start ?cap space =
@@ -79,49 +193,10 @@ let start ?cap space =
     started = Sat.Telemetry.now ();
     iterations = Atomic.make 0;
     blocked = Atomic.make 0;
-    levels = [];
-  }
-
-let step sc k =
-  Atomic.incr sc.iterations;
-  Obs.Metrics.incr m_iterations;
-  (sc.levels <-
-     (match sc.levels with
-     | (k', n) :: rest when k' = k -> (k', n + 1) :: rest
-     | levels -> (k, 1) :: levels));
-  let assumptions = Sat.Cardinality.at_most sc.card k in
-  Obs.Trace.with_span ~name:"solve"
-    ~args:
-      (span_args ~backend:"iterative" ~distance:k
-         ~assumptions:(List.length assumptions))
-    (fun () -> Relog.Finder.solve ~assumptions sc.finder)
-
-let zero_stats =
-  {
-    Sat.Solver.decisions = 0;
-    propagations = 0;
-    conflicts = 0;
-    restarts = 0;
-    learnt = 0;
-    reduces = 0;
-    solves = 0;
-    solve_time = 0.0;
-  }
-
-let add_stats a b =
-  {
-    Sat.Solver.decisions = a.Sat.Solver.decisions + b.Sat.Solver.decisions;
-    propagations = a.Sat.Solver.propagations + b.Sat.Solver.propagations;
-    conflicts = a.Sat.Solver.conflicts + b.Sat.Solver.conflicts;
-    restarts = a.Sat.Solver.restarts + b.Sat.Solver.restarts;
-    learnt = a.Sat.Solver.learnt + b.Sat.Solver.learnt;
-    reduces = a.Sat.Solver.reduces + b.Sat.Solver.reduces;
-    solves = a.Sat.Solver.solves + b.Sat.Solver.solves;
-    solve_time = a.Sat.Solver.solve_time +. b.Sat.Solver.solve_time;
   }
 
 let telemetry_of sc ~jobs ~solver ~solver_calls ~solve_time_cpu
-    ~solve_time_wall ~levels =
+    ~solve_time_wall ~levels ~blocked =
   let fs = Relog.Finder.stats sc.finder in
   let total = Sat.Telemetry.now () -. sc.started in
   Obs.Metrics.observe h_run_wall total;
@@ -134,7 +209,7 @@ let telemetry_of sc ~jobs ~solver ~solver_calls ~solve_time_cpu
     solve_time_cpu;
     solve_time_wall;
     distance_levels = levels;
-    blocked_nonconformant = Atomic.get sc.blocked;
+    blocked_nonconformant = blocked;
     cardinality_inputs = sc.total;
     cardinality_aux_vars = Sat.Cardinality.aux_vars sc.card;
     cardinality_clauses = Sat.Cardinality.aux_clauses sc.card;
@@ -143,23 +218,26 @@ let telemetry_of sc ~jobs ~solver ~solver_calls ~solve_time_cpu
     total_time = total;
   }
 
-let telemetry ?(jobs = 1) sc =
-  let fs = Relog.Finder.stats sc.finder in
-  (* Serial search: one domain, so summed solver effort is also the
-     elapsed solving time. *)
-  telemetry_of sc ~jobs ~solver:fs.Relog.Finder.solver
-    ~solver_calls:fs.Relog.Finder.solves
-    ~solve_time_cpu:fs.Relog.Finder.solve_time
-    ~solve_time_wall:fs.Relog.Finder.solve_time
-    ~levels:(List.rev sc.levels)
-
-(* Canonical serialization of a repair, used both as the dedup key and
-   as the deterministic result order of [run_all]. *)
-let repair_key repaired =
-  String.concat "\x00"
-    (List.map
-       (fun (p, m) -> Mdl.Ident.name p ^ "\x01" ^ Mdl.Serialize.model_to_string m)
-       repaired)
+(* The serial search: the ladder on the finder's own solver. Every
+   entry carries the run's totals. *)
+let run_serial sc ~cap ~limit space =
+  Result.map
+    (fun menu ->
+      let fs = Relog.Finder.stats sc.finder in
+      let stats =
+        (* One domain, so summed solver effort is also the elapsed
+           solving time. *)
+        telemetry_of sc ~jobs:1 ~solver:fs.Relog.Finder.solver
+          ~solver_calls:fs.Relog.Finder.solves
+          ~solve_time_cpu:fs.Relog.Finder.solve_time
+          ~solve_time_wall:fs.Relog.Finder.solve_time ~levels:menu.levels
+          ~blocked:menu.rejected
+      in
+      List.map
+        (success_of ~iterations:fs.Relog.Finder.solves ~stats)
+        menu.entries)
+    (least_change ~cap ~limit ~decode:(decode space)
+       ~models:(fun f -> f.f_repaired) sc.finder sc.card)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel ladder                                                      *)
@@ -186,20 +264,14 @@ let repair_key repaired =
    schedules when several equally-minimal repairs exist; [run_all]
    is the jobs-invariant enumeration of all of them.) *)
 
-type probe = {
-  p_repaired : (Mdl.Ident.t * Mdl.Model.t) list;
-  p_edit : int;
-}
-
 type board = {
   bmu : Mutex.t;
   mutable floor : int;  (* all levels <= floor proven conformant-free *)
-  mutable best : (int * probe) option;  (* least witnessed distance *)
+  mutable best : found option;  (* least witnessed distance *)
   claimed : (int, unit) Hashtbl.t;
   active : int option array;  (* worker -> level being solved *)
   clones : Sat.Solver.t option array;
   level_counts : (int, int) Hashtbl.t;
-  mutable aborted : bool;
 }
 
 let block_clone trans clone =
@@ -238,11 +310,10 @@ let worker_count jobs =
 
 (* Degrade a parallelism request to plain serial execution when it
    could not buy any concurrency anyway:
-   - nested parallel region (a run issued from inside a pool worker,
-     e.g. the portfolio's iterative lane): oversubscribing the cores
-     the enclosing region already owns is pure loss, and blocking on
-     nested futures of the same global pool can stall behind the very
-     task doing the waiting;
+   - nested parallel region (a run issued from inside a pool worker):
+     oversubscribing the cores the enclosing region already owns is
+     pure loss, and blocking on nested futures of the same global pool
+     can stall behind the very task doing the waiting;
    - a box (or MDQVTR_WORKERS pretence) with a single core: the
      parallel paths would run their one worker through the clone /
      shared-queue machinery for nothing — the serial path reuses the
@@ -261,7 +332,7 @@ let interrupt_dead_locked board ~self =
         | Some l, Some solver ->
           let dead =
             l <= board.floor
-            || match board.best with Some (b, _) -> l >= b | None -> false
+            || match board.best with Some b -> l >= b.f_distance | None -> false
           in
           if dead then Sat.Solver.interrupt solver
         | _ -> ())
@@ -278,7 +349,7 @@ let ladder ~window ~cap sc space board wi =
     let hi =
       min cap
         (match board.best with
-        | Some (b, _) -> b - 1
+        | Some b -> b.f_distance - 1
         | None -> board.floor + window)
     in
     let rec find l =
@@ -290,11 +361,6 @@ let ladder ~window ~cap sc space board wi =
   in
   let rec next () =
     Mutex.lock board.bmu;
-    if board.aborted then begin
-      board.active.(wi) <- None;
-      Mutex.unlock board.bmu;
-      raise Parallel.Pool.Cancelled
-    end;
     match claim_locked () with
     | None ->
       board.active.(wi) <- None;
@@ -326,14 +392,12 @@ let ladder ~window ~cap sc space board wi =
     with
     | exception Sat.Solver.Interrupted ->
       Mutex.lock board.bmu;
-      let abort = board.aborted in
       let dead =
         l <= board.floor
-        || match board.best with Some (b, _) -> l >= b | None -> false
+        || match board.best with Some b -> l >= b.f_distance | None -> false
       in
       Mutex.unlock board.bmu;
-      if abort then raise Parallel.Pool.Cancelled
-      else if dead then next ()  (* abandon: the level no longer matters *)
+      if dead then next ()  (* abandon: the level no longer matters *)
       else solve_level l  (* spurious (stale interrupt): retry *)
     | Sat.Solver.Unsat ->
       (* No conformant instance at any level <= l (monotone skip). *)
@@ -344,21 +408,17 @@ let ladder ~window ~cap sc space board wi =
       next ()
     | Sat.Solver.Sat -> (
       let inst = Relog.Finder.decode_with sc.finder (Sat.Solver.value clone) in
-      match Space.decode_targets space inst with
+      match decode space inst with
       | Error _ ->
         Atomic.incr sc.blocked;
         Obs.Metrics.incr m_blocked;
         block_clone trans clone;
         solve_level l
-      | Ok repaired ->
-        let d = Space.relational_distance space inst in
-        let probe =
-          { p_repaired = repaired; p_edit = Space.edit_distance space repaired }
-        in
+      | Ok f ->
         Mutex.lock board.bmu;
         (match board.best with
-        | Some (b, _) when b <= d -> ()
-        | _ -> board.best <- Some (d, probe));
+        | Some b when b.f_distance <= f.f_distance -> ()
+        | _ -> board.best <- Some f);
         interrupt_dead_locked board ~self:wi;
         Mutex.unlock board.bmu;
         next ())
@@ -368,7 +428,7 @@ let ladder ~window ~cap sc space board wi =
 (* Run the parallel ladder to the minimal conformant distance.
    Returns the board (with [best]/[floor] final) and the merged
    per-worker solver statistics. *)
-let parallel_minimal ~jobs ?token ~cap sc space =
+let parallel_minimal ~jobs ~cap sc space =
   let nworkers = worker_count jobs in
   let pool = Parallel.Pool.global ~jobs:nworkers in
   let board =
@@ -380,191 +440,53 @@ let parallel_minimal ~jobs ?token ~cap sc space =
       active = Array.make nworkers None;
       clones = Array.make nworkers None;
       level_counts = Hashtbl.create 16;
-      aborted = false;
     }
   in
-  Option.iter
-    (fun tok ->
-      Parallel.Pool.on_cancel tok (fun () ->
-          Mutex.lock board.bmu;
-          board.aborted <- true;
-          Array.iter (Option.iter Sat.Solver.interrupt) board.clones;
-          Mutex.unlock board.bmu))
-    token;
-  let futures =
-    List.init nworkers (fun wi ->
-        Parallel.Pool.submit pool (fun _ ->
-            ladder ~window:nworkers ~cap sc space board wi))
+  let stats =
+    Parallel.Pool.map_list pool
+      (fun _ wi -> ladder ~window:nworkers ~cap sc space board wi)
+      (List.init nworkers Fun.id)
+    |> List.fold_left Sat.Solver.add_stats Sat.Solver.zero_stats
   in
-  let results = List.map Parallel.Pool.result futures in
-  if board.aborted then Error `Interrupted
-  else begin
-    (* Re-raise any real worker failure (after all workers joined). *)
-    List.iter
-      (function
-        | Ok _ | Error Parallel.Pool.Cancelled -> ()
-        | Error e -> raise e)
-      results;
-    let stats =
-      List.fold_left
-        (fun acc -> function Ok st -> add_stats acc st | Error _ -> acc)
-        zero_stats results
-    in
-    let levels =
-      List.sort compare
-        (Hashtbl.fold (fun l n acc -> (l, n) :: acc) board.level_counts [])
-    in
-    Ok (board, stats, levels)
-  end
+  let levels =
+    List.sort compare
+      (Hashtbl.fold (fun l n acc -> (l, n) :: acc) board.level_counts [])
+  in
+  (board, stats, levels)
 
-let run_parallel ~jobs ?token ~cap sc space =
+let run_parallel ~jobs ~cap sc space =
   let solve_started = Sat.Telemetry.now () in
-  match parallel_minimal ~jobs ?token ~cap sc space with
-  | Error `Interrupted -> Error "interrupted"
-  | Ok (board, stats, levels) -> (
-    let solve_wall = Sat.Telemetry.now () -. solve_started in
-    let tele () =
-      telemetry_of sc ~jobs ~solver:stats ~solver_calls:stats.Sat.Solver.solves
-        ~solve_time_cpu:stats.Sat.Solver.solve_time ~solve_time_wall:solve_wall
-        ~levels
-    in
-    match board.best with
-    | None -> Ok Cannot_restore
-    | Some (d, p) ->
-      Ok
-        (Repaired
-           {
-             repaired = p.p_repaired;
-             relational_distance = d;
-             edit_distance = p.p_edit;
-             iterations = Atomic.get sc.iterations;
-             stats = tele ();
-           }))
+  let board, stats, levels = parallel_minimal ~jobs ~cap sc space in
+  let solve_wall = Sat.Telemetry.now () -. solve_started in
+  match board.best with
+  | None -> Cannot_restore
+  | Some f ->
+    Repaired
+      (success_of f ~iterations:(Atomic.get sc.iterations)
+         ~stats:
+           (telemetry_of sc ~jobs ~solver:stats
+              ~solver_calls:stats.Sat.Solver.solves
+              ~solve_time_cpu:stats.Sat.Solver.solve_time
+              ~solve_time_wall:solve_wall ~levels
+              ~blocked:(Atomic.get sc.blocked)))
 
-(* ------------------------------------------------------------------ *)
-
-let run_serial ?token sc ~cap space =
-  Option.iter
-    (fun tok ->
-      Parallel.Pool.on_cancel tok (fun () -> Relog.Finder.interrupt sc.finder))
-    token;
-  let rec at_distance k =
-    if k > cap then Ok Cannot_restore
-    else
-      match step sc k with
-      | Relog.Finder.Unsat -> at_distance (k + 1)
-      | Relog.Finder.Sat inst -> (
-        match Space.decode_targets space inst with
-        | Ok repaired ->
-          Ok
-            (Repaired
-               {
-                 repaired;
-                 relational_distance = Space.relational_distance space inst;
-                 edit_distance = Space.edit_distance space repaired;
-                 iterations = Atomic.get sc.iterations;
-                 stats = telemetry sc;
-               })
-        | Error _ ->
-          (* The relational instance passed the encoded constraints
-             but the decoded model fails full conformance (the
-             encoding approximates multiplicity lower bounds > 1):
-             exclude it and keep searching at the same distance. *)
-          Atomic.incr sc.blocked;
-          Obs.Metrics.incr m_blocked;
-          Relog.Finder.block sc.finder;
-          at_distance k)
-  in
-  try at_distance 0 with Sat.Solver.Interrupted -> Error "interrupted"
-
-let run ?max_distance ?(jobs = 1) ?token space =
+let run ?max_distance ?(jobs = 1) space =
   if jobs < 1 then invalid_arg "Repair.run: jobs must be >= 1";
   let jobs = effective_jobs jobs in
   try
     let sc = start ?cap:max_distance space in
     let cap = Option.value ~default:sc.total max_distance in
-    if jobs = 1 then run_serial ?token sc ~cap space
-    else run_parallel ~jobs ?token ~cap sc space
+    if jobs = 1 then
+      Result.map
+        (function [] -> Cannot_restore | r :: _ -> Repaired r)
+        (run_serial sc ~cap ~limit:1 space)
+    else Ok (run_parallel ~jobs ~cap sc space)
   with
   | Relog.Translate.Unsupported msg -> Error msg
   | Invalid_argument msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Enumeration                                                          *)
-
-(* Distinct SAT assignments can decode to identical models (e.g.
-   symmetric uses of slack atoms not covered by the symmetry chain);
-   deduplicate on a canonical serialization of the decoded states,
-   hashed — not pairwise Model.equal over all seen keys. *)
-let dedup repairs =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun (r : success) ->
-      let key = repair_key r.repaired in
-      if Hashtbl.mem seen key then begin
-        Obs.Metrics.incr m_dedup_discards;
-        false
-      end
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    repairs
-
-(* Deterministic result order, independent of discovery order (and so
-   of the jobs value): sort on the canonical serialization. *)
-let canonical_sort repairs =
-  List.sort
-    (fun (a : success) (b : success) ->
-      String.compare (repair_key a.repaired) (repair_key b.repaired))
-    repairs
-
-let run_all_serial sc ~cap ~limit space =
-  (* Collect every (conformant) instance at distance k; [n] carries
-     the count so the limit check is O(1) per iteration. *)
-  let collect_at k =
-    let rec go acc n =
-      if n >= limit then List.rev acc
-      else
-        match step sc k with
-        | Relog.Finder.Unsat -> List.rev acc
-        | Relog.Finder.Sat inst -> (
-          Relog.Finder.block sc.finder;
-          match Space.decode_targets space inst with
-          | Error _ ->
-            Atomic.incr sc.blocked;
-            Obs.Metrics.incr m_blocked;
-            go acc n
-          | Ok repaired ->
-            let r =
-              {
-                repaired;
-                relational_distance = Space.relational_distance space inst;
-                edit_distance = Space.edit_distance space repaired;
-                iterations = Atomic.get sc.iterations;
-                stats = telemetry sc;
-              }
-            in
-            go (r :: acc) (n + 1))
-    in
-    go [] 0
-  in
-  let rec at_distance k =
-    if k > cap then Ok []
-    else
-      match collect_at k with
-      | [] -> at_distance (k + 1)
-      | repairs ->
-        (* [collect_at] also sees instances strictly below k that
-           earlier iterations proved absent, so everything returned
-           is at the minimal distance. *)
-        let final = telemetry sc in
-        Ok
-          (List.map
-             (fun r -> { r with stats = final })
-             (canonical_sort (dedup repairs)))
-  in
-  at_distance 0
+(* Parallel enumeration                                                 *)
 
 (* Shard the enumeration at the minimal distance into disjoint cubes:
    sign patterns over a prefix of the change literals partition the
@@ -589,14 +511,12 @@ let run_all_serial sc ~cap ~limit space =
    pushed half are disjoint, and an instance the splitter had already
    collected from the pushed half is blocked only in its own clone —
    the other worker's re-find collapses in the model-level dedup. *)
-let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
+let run_all_parallel ~jobs ~split_after ~cap ~limit sc space =
   let solve_started = Sat.Telemetry.now () in
-  match parallel_minimal ~jobs ?token ~cap sc space with
-  | Error `Interrupted -> Error "interrupted"
-  | Ok (board, ladder_stats, levels) -> (
-    match board.best with
-    | None -> Ok []
-    | Some (dstar, _) ->
+  let board, ladder_stats, levels = parallel_minimal ~jobs ~cap sc space in
+  match board.best with
+  | None -> []
+  | Some { f_distance = dstar; _ } ->
       let trans = Relog.Finder.translation sc.finder in
       let change_lits =
         Array.of_list (List.map fst (Space.change_literals space trans))
@@ -629,15 +549,8 @@ let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
                else Sat.Lit.neg change_lits.(b)))
           pending
       done;
-      let enumerate_cubes tok =
+      let enumerate_cubes () =
         let clone = Relog.Finder.clone_solver sc.finder in
-        Parallel.Pool.on_cancel tok (fun () ->
-            Sat.Solver.interrupt clone;
-            (* also wake anyone parked on the queue so it can observe
-               the cancelled token *)
-            Mutex.lock qmu;
-            Condition.broadcast qcond;
-            Mutex.unlock qmu);
         let collected = ref [] in
         (* Next cube, or None when the enumeration is drained; parks
            while other workers are active (they may split and refill
@@ -645,27 +558,22 @@ let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
         let take () =
           Mutex.lock qmu;
           let rec go () =
-            if Parallel.Pool.cancelled tok then begin
+            match Queue.take_opt pending with
+            | Some cube ->
+              incr active;
               Mutex.unlock qmu;
-              raise Parallel.Pool.Cancelled
-            end
-            else
-              match Queue.take_opt pending with
-              | Some cube ->
-                incr active;
+              Some cube
+            | None ->
+              if !active = 0 then begin
                 Mutex.unlock qmu;
-                Some cube
-              | None ->
-                if !active = 0 then begin
-                  Mutex.unlock qmu;
-                  None
-                end
-                else begin
-                  incr starved;
-                  Condition.wait qcond qmu;
-                  decr starved;
-                  go ()
-                end
+                None
+              end
+              else begin
+                incr starved;
+                Condition.wait qcond qmu;
+                decr starved;
+                go ()
+              end
           in
           go ()
         in
@@ -720,28 +628,18 @@ let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
                      ~assumptions:(List.length assumptions))
                 (fun () -> Sat.Solver.solve ~assumptions clone)
             with
-            | exception Sat.Solver.Interrupted -> raise Parallel.Pool.Cancelled
             | Sat.Solver.Unsat -> exhausted := true
             | Sat.Solver.Sat -> (
               let inst =
                 Relog.Finder.decode_with sc.finder (Sat.Solver.value clone)
               in
               block_clone trans clone;
-              match Space.decode_targets space inst with
+              match decode space inst with
               | Error _ ->
                 Atomic.incr sc.blocked;
                 Obs.Metrics.incr m_blocked
-              | Ok repaired ->
-                let r =
-                  {
-                    repaired;
-                    relational_distance = Space.relational_distance space inst;
-                    edit_distance = Space.edit_distance space repaired;
-                    iterations = 0;
-                    stats = telemetry sc;
-                  }
-                in
-                collected := r :: !collected;
+              | Ok f ->
+                collected := f :: !collected;
                 incr n)
           done;
           Obs.Metrics.observe h_cube_wall (Sat.Telemetry.now () -. cube_started)
@@ -755,77 +653,43 @@ let run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space =
         in
         drain ()
       in
-      let pool = Parallel.Pool.global ~jobs:nworkers in
-      let futures =
-        List.init nworkers (fun _ -> Parallel.Pool.submit pool enumerate_cubes)
+      let results =
+        Parallel.Pool.map_list
+          (Parallel.Pool.global ~jobs:nworkers)
+          (fun _ () -> enumerate_cubes ())
+          (List.init nworkers (fun _ -> ()))
       in
-      (match token with
-      | Some tok when Parallel.Pool.cancelled tok ->
-        List.iter Parallel.Pool.cancel futures
-      | Some tok ->
-        Parallel.Pool.on_cancel tok (fun () ->
-            List.iter Parallel.Pool.cancel futures)
-      | None -> ());
-      let results = List.map Parallel.Pool.result futures in
-      let interrupted =
-        (match token with Some tok -> Parallel.Pool.cancelled tok | None -> false)
-        || List.exists
-             (function
-               | Error (Parallel.Pool.Cancelled | Sat.Solver.Interrupted) -> true
-               | _ -> false)
-             results
+      let stats =
+        List.fold_left
+          (fun acc (_, st) -> Sat.Solver.add_stats acc st)
+          ladder_stats results
       in
-      if interrupted then Error "interrupted"
-      else begin
-        List.iter (function Ok _ -> () | Error e -> raise e) results;
-        let repairs =
-          List.concat_map (function Ok (rs, _) -> rs | Error _ -> []) results
-        in
-        let stats =
-          List.fold_left
-            (fun acc -> function Ok (_, st) -> add_stats acc st | Error _ -> acc)
-            ladder_stats results
-        in
-        let final =
-          (* Wall covers both phases run on the pool: the minimality
-             ladder and the sharded enumeration. *)
-          telemetry_of sc ~jobs ~solver:stats
-            ~solver_calls:stats.Sat.Solver.solves
-            ~solve_time_cpu:stats.Sat.Solver.solve_time
-            ~solve_time_wall:(Sat.Telemetry.now () -. solve_started)
-            ~levels
-        in
-        let out =
-          canonical_sort (dedup repairs)
-          |> List.map (fun r ->
-                 { r with iterations = Atomic.get sc.iterations; stats = final })
-        in
-        (* Per-cube limits can over-collect; enforce the global cap on
-           the canonical order. *)
-        let rec take n = function
-          | [] -> []
-          | _ when n = 0 -> []
-          | x :: tl -> x :: take (n - 1) tl
-        in
-        Ok (take limit out)
-      end)
+      let final =
+        (* Wall covers both phases run on the pool: the minimality
+           ladder and the sharded enumeration. *)
+        telemetry_of sc ~jobs ~solver:stats
+          ~solver_calls:stats.Sat.Solver.solves
+          ~solve_time_cpu:stats.Sat.Solver.solve_time
+          ~solve_time_wall:(Sat.Telemetry.now () -. solve_started)
+          ~levels ~blocked:(Atomic.get sc.blocked)
+      in
+      (* Per-cube limits can over-collect; enforce the global cap on
+         the canonical order. *)
+      canonical ~models:(fun f -> f.f_repaired) (List.concat_map fst results)
+      |> List.filteri (fun i _ -> i < limit)
+      |> List.map
+           (success_of ~iterations:(Atomic.get sc.iterations) ~stats:final)
 
-let run_all ?max_distance ?(limit = 16) ?(jobs = 1) ?(split_after = 0.025)
-    ?token space =
+let run_all ?max_distance ?(limit = 16) ?(jobs = 1) ?(split_after = 0.025) space =
   if jobs < 1 then invalid_arg "Repair.run_all: jobs must be >= 1";
   let jobs = effective_jobs jobs in
+  let ( let* ) = Result.bind in
+  let* () = check_limit limit in
   try
     let sc = start ?cap:max_distance space in
     let cap = Option.value ~default:sc.total max_distance in
-    if jobs = 1 then begin
-      Option.iter
-        (fun tok ->
-          Parallel.Pool.on_cancel tok (fun () -> Relog.Finder.interrupt sc.finder))
-        token;
-      try run_all_serial sc ~cap ~limit space
-      with Sat.Solver.Interrupted -> Error "interrupted"
-    end
-    else run_all_parallel ~jobs ~split_after ~token ~cap ~limit sc space
+    if jobs = 1 then run_serial sc ~cap ~limit space
+    else Ok (run_all_parallel ~jobs ~split_after ~cap ~limit sc space)
   with
   | Relog.Translate.Unsupported msg -> Error msg
   | Invalid_argument msg -> Error msg

@@ -26,15 +26,49 @@ type outcome =
       (** no consistent instance exists within the bounded space for
           this target set *)
 
+type 'a menu = {
+  entries : 'a list;
+      (** deduplicated and canonically sorted, at most [limit]; empty
+          when no conformant instance exists within the cap *)
+  levels : (int * int) list;
+      (** [(distance bound, solver calls at that bound)] in search
+          order *)
+  rejected : int;
+      (** instances that satisfied the encoding but failed
+          conformance; blocked and skipped *)
+}
+
+val least_change :
+  ?prefix:Sat.Lit.t list ->
+  ?scope:Sat.Lit.t ->
+  cap:int ->
+  limit:int ->
+  decode:(Relog.Instance.t -> ('a, string) result) ->
+  models:('a -> (Mdl.Ident.t * Mdl.Model.t) list) ->
+  Relog.Finder.t ->
+  Sat.Cardinality.t ->
+  ('a menu, string) result
+(** The least-change ladder every serial repair runs: {!run},
+    {!run_all} at [jobs = 1] and {!Incr.Session.rerepair}. For
+    k = 0, 1, ..., [cap] it solves under
+    [prefix @ at_most k @ [scope]], hands each instance to [decode]
+    (before blocking it, so [decode] may still read the solver's
+    model), blocks it ({!Relog.Finder.block}, scoped when [scope] is
+    given) and keeps the [Ok] ones, until [limit] are kept or the
+    level is exhausted. The first k that keeps any is the minimal
+    distance: the menu is those entries, deduplicated and sorted on
+    the canonical serialization of [models]. [Error] when
+    [limit < 1]. *)
+
 val run :
   ?max_distance:int ->
   ?jobs:int ->
-  ?token:Parallel.Pool.token ->
   Space.t ->
   (outcome, string) result
 (** [max_distance] caps the search (default: total weight of the
     space's change literals) — the cap also k-bounds the totalizer
-    encoding. [Error] on internal decode failures.
+    encoding. [Error] on internal decode failures. At [jobs = 1] this
+    is {!least_change} with [limit = 1].
 
     [jobs] (default 1) parallelises the distance ladder: a window of
     levels above the proven floor is probed speculatively on worker
@@ -48,29 +82,26 @@ val run :
     an UNSAT probe at level [l] retires all levels [<= l] at once.
     With several equally-minimal repairs the particular witness model
     may depend on the schedule; {!run_all} enumerates the full
-    jobs-invariant set.
-
-    [token] supports cooperative cancellation (backend portfolio):
-    when cancelled, solvers are interrupted and the result is
-    [Error "interrupted"]. *)
+    jobs-invariant set. *)
 
 val run_all :
   ?max_distance:int ->
   ?limit:int ->
   ?jobs:int ->
   ?split_after:float ->
-  ?token:Parallel.Pool.token ->
   Space.t ->
   (success list, string) result
 (** All distinct minimal repairs (every consistent instance at the
     optimal distance), up to [limit] (default 16), in a canonical
     deterministic order (sorted on the serialized repair, independent
     of discovery order and of [jobs]). The empty list means
-    consistency cannot be restored. This realises the workflow the
-    paper's §4 sketches for the multidirectional Echo: "when
-    inconsistencies are found, [users] select which models are to be
-    updated" — and here, also which of the equally-minimal repairs to
-    take.
+    consistency cannot be restored; [Error] when [limit < 1]. Every
+    entry carries the whole run's [iterations] and [stats]. This
+    realises the workflow the paper's §4 sketches for the
+    multidirectional Echo: "when inconsistencies are found, [users]
+    select which models are to be updated" — and here, also which of
+    the equally-minimal repairs to take. At [jobs = 1] this is
+    {!least_change}.
 
     With [jobs >= 2] the minimal distance is found by the parallel
     ladder of {!run} and the enumeration is sharded across workers by
@@ -89,6 +120,5 @@ val run_all :
     canonical-least — subset).
 
     Both [run] and [run_all] degrade [jobs] to 1 when called from
-    inside a pool worker (a nested parallel region — e.g. the
-    portfolio's iterative lane) rather than oversubscribe the cores
-    the enclosing region already owns. *)
+    inside a pool worker (a nested parallel region) rather than
+    oversubscribe the cores the enclosing region already owns. *)

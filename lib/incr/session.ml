@@ -178,22 +178,10 @@ let fresh_pstates params =
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 
-let zero_stats =
-  {
-    Sat.Solver.decisions = 0;
-    propagations = 0;
-    conflicts = 0;
-    restarts = 0;
-    learnt = 0;
-    reduces = 0;
-    solves = 0;
-    solve_time = 0.0;
-  }
-
 let solver_totals t =
   match t.fd with
   | Some fd -> Sat.Solver.stats (Relog.Finder.solver fd)
-  | None -> zero_stats
+  | None -> Sat.Solver.zero_stats
 
 let translate_seconds t =
   match t.fd with
@@ -786,26 +774,6 @@ let decode_repair t inst ~distance =
         r_edit_distance = edit;
       }
 
-let repair_key reps =
-  String.concat "\x00"
-    (List.map
-       (fun (p, m) -> Ident.name p ^ "\x01" ^ Mdl.Serialize.model_to_string m)
-       reps)
-
-let dedup_sort reps =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun r ->
-      let key = repair_key r.r_models in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    reps
-  |> List.sort (fun a b ->
-         String.compare (repair_key a.r_models) (repair_key b.r_models))
-
 let m_rerepairs = Obs.Metrics.counter "incr.rerepairs"
 
 let rerepair ?(limit = 16) t =
@@ -823,50 +791,34 @@ let rerepair ?(limit = 16) t =
       Ok { outcome = Already_consistent; repair_stats = finish t snap }
     else begin
       let rs = ensure_repair t in
+      let solver = Relog.Finder.solver rs.rf in
+      (* The distance is read off the XOR apparatus before the ladder
+         blocks the instance. *)
+      let decode inst =
+        let distance =
+          Array.fold_left
+            (fun d tp -> if Sat.Solver.value solver tp.t_diff then d + 1 else d)
+            0 rs.tprims
+        in
+        decode_repair t inst ~distance
+      in
       (* Stable assumption order for trail reuse across the ladder:
          fact/reference pins and chain guards, then the guarded
-         constraint set (conformance + all directions). *)
+         constraint set (conformance + all directions). Blocks are
+         scoped to this call. *)
       let dir_guards = List.map (fun (_, _, gd) -> gd) cs.dirs in
-      let base = repair_pins t rs @ rs.struct_guards @ dir_guards in
-      let scope = Relog.Finder.new_scope rs.rf in
-      let solver = Relog.Finder.solver rs.rf in
-      let total = Sat.Cardinality.count rs.card in
-      (* Enumerate conformant instances at distance k; non-conformant
-         ones are blocked (scoped to this call) without counting. *)
-      let collect_at k =
-        let rec go acc n =
-          if n >= limit then acc
-          else
-            match
-              Relog.Finder.solve
-                ~assumptions:
-                  (base @ Sat.Cardinality.at_most rs.card k @ [ scope ])
-                rs.rf
-            with
-            | Relog.Finder.Unsat -> acc
-            | Relog.Finder.Sat inst -> (
-              let distance =
-                Array.fold_left
-                  (fun d tp ->
-                    if Sat.Solver.value solver tp.t_diff then d + 1 else d)
-                  0 rs.tprims
-              in
-              let decoded = decode_repair t inst ~distance in
-              Relog.Finder.block ~scope rs.rf;
-              match decoded with
-              | Error _ -> go acc n
-              | Ok rep -> go (rep :: acc) (n + 1))
-        in
-        go [] 0
+      let* menu =
+        Echo.Repair.least_change
+          ~prefix:(repair_pins t rs @ rs.struct_guards @ dir_guards)
+          ~scope:(Relog.Finder.new_scope rs.rf)
+          ~cap:(Sat.Cardinality.count rs.card) ~limit ~decode
+          ~models:(fun r -> r.r_models) rs.rf rs.card
       in
-      let rec at_distance k =
-        if k > total then Cannot_restore
-        else
-          match collect_at k with
-          | [] -> at_distance (k + 1)
-          | reps -> Repaired (dedup_sort reps)
+      let outcome =
+        match menu.Echo.Repair.entries with
+        | [] -> Cannot_restore
+        | reps -> Repaired reps
       in
-      let outcome = at_distance 0 in
       Ok { outcome; repair_stats = finish t snap }
     end
   with Invalid_argument msg -> Error msg

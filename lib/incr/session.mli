@@ -170,9 +170,11 @@ val recheck : ?blame:bool -> t -> (check_report, string) result
 
 val rerepair : ?limit:int -> t -> (repair_report, string) result
 (** Least-change repair of the current models over the session's
-    target set: the distance ladder and minimal-repair enumeration
-    (up to [limit], default 16) run as assumption solves on the warm
-    repair finder. The outcome (distance and canonical repair menu)
+    target set: {!Echo.Repair.least_change}, the ladder one-shot
+    enforcement runs, with the fact pins and guards as its assumption
+    prefix on the warm repair finder (up to [limit], default 16
+    entries; [Error] when the models are inconsistent and
+    [limit < 1]). The outcome (distance and canonical repair menu)
     matches a from-scratch {!Echo.Engine.enforce_all} over the
     current models with aligned [extra_values]/[slack_objects]. The
     session's models are not changed — see {!commit}. *)

@@ -96,7 +96,7 @@ let jobs t = t.njobs
 
 (* Worker domains mark themselves so the layers above can detect a
    nested parallel region: an enforcement call issued from inside a
-   pool task (a portfolio lane, a ladder probe) must not fan out again
+   pool task (e.g. a ladder probe) must not fan out again
    — the extra domains would only oversubscribe the cores the outer
    region already owns, and nested blocking waits on the same global
    pool can stall behind their own parent. *)

@@ -2,9 +2,9 @@
     shared queue, with futures and cooperative cancellation.
 
     The pool is the multicore substrate of the enforcement engine
-    ({!Echo.Repair} speculative distance probing, {!Echo.Engine}
-    backend portfolio) but carries no knowledge of any layer above it;
-    any subsystem can submit work.
+    ({!Echo.Repair} speculative distance probing and sharded
+    enumeration) and of the transformation server, but carries no
+    knowledge of any layer above it; any subsystem can submit work.
 
     Cancellation is cooperative: cancelling a future flips its token
     and runs the callbacks registered with {!on_cancel} (e.g.
@@ -32,10 +32,10 @@ val default_jobs : unit -> int
 
 val in_worker : unit -> bool
 (** [true] iff the calling domain is a pool worker (any pool). Layers
-    that fan out ({!Echo.Repair}, {!Echo.Engine}) consult this to
+    that fan out ({!Echo.Repair}) consult this to
     degrade nested parallel regions to their serial path instead of
     oversubscribing cores already owned by the enclosing region —
-    e.g. an [enforce ~jobs:4] issued from inside a portfolio lane
+    e.g. an [enforce ~jobs:4] issued from inside another pool task
     runs its ladder serially. Tasks run inline by a [jobs = 1] pool
     execute on the submitting domain and are not marked. *)
 

@@ -82,9 +82,6 @@ val clone_solver : t -> Sat.Solver.t
     domains each take a clone and solve concurrently; the translation
     itself is only read after {!prepare}, which is safe. *)
 
-val interrupt : t -> unit
-(** {!Sat.Solver.interrupt} on the backend solver (not on clones). *)
-
 val decode_with : t -> (Sat.Lit.var -> bool) -> Instance.t
 (** Decode an instance from an explicit model valuation — typically
     [Sat.Solver.value clone] for a clone obtained from

@@ -277,8 +277,8 @@ exception Interrupted
    clause.
 
    The cooperative stop flag is polled here too, between propagation
-   waves (every 64 trail positions): a cube-enumeration or portfolio
-   loser whose solve is deep inside one long propagation run must
+   waves (every 64 trail positions): a retired ladder probe whose
+   solve is deep inside one long propagation run must
    still stop within a bounded number of enqueues, not only at the
    next decision boundary. The check sits before the wave's watch
    lists are touched, so an [Interrupted] raised here leaves every
@@ -963,6 +963,30 @@ let stats s =
     solve_time = s.solve_time;
   }
 
+let zero_stats =
+  {
+    decisions = 0;
+    propagations = 0;
+    conflicts = 0;
+    restarts = 0;
+    learnt = 0;
+    reduces = 0;
+    solves = 0;
+    solve_time = 0.0;
+  }
+
+let add_stats a b =
+  {
+    decisions = a.decisions + b.decisions;
+    propagations = a.propagations + b.propagations;
+    conflicts = a.conflicts + b.conflicts;
+    restarts = a.restarts + b.restarts;
+    learnt = a.learnt + b.learnt;
+    reduces = a.reduces + b.reduces;
+    solves = a.solves + b.solves;
+    solve_time = a.solve_time +. b.solve_time;
+  }
+
 let global_stats () =
   {
     decisions = Obs.Metrics.counter_value g_decisions;
@@ -1009,7 +1033,7 @@ let pp_stats ppf st =
    records (watch fields, activity) plus the per-variable arrays.
    That drops the per-clone cost from O(total literals) to O(clauses
    + vars), which is what makes one-clone-per-worker schemes (ladder
-   probes, cube enumeration, portfolio lanes) affordable.
+   probes, cube enumeration) affordable.
 
    Invariants restored on the copy:
    - each clone gets fresh clause records, so its watch fields w0/w1

@@ -51,8 +51,8 @@ val interrupt : t -> unit
     immediately. Cheap (one atomic store). The flag is polled at
     every CDCL decision boundary {e and} inside long propagation
     waves (every 64 trail positions), so cancellation latency is
-    bounded by a few dozen clause visits — a portfolio loser or a
-    retired ladder probe stops promptly even mid-propagation. *)
+    bounded by a few dozen clause visits — a retired ladder probe
+    stops promptly even mid-propagation. *)
 
 val clone : t -> t
 (** An independent snapshot of the solver: problem clauses, learnt
@@ -134,6 +134,11 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val zero_stats : stats
+
+val add_stats : stats -> stats -> stats
+(** Field-wise sum: merges the per-instance stats of solver clones. *)
 
 val global_stats : unit -> stats
 (** Cumulative counters across every solver instance of the process

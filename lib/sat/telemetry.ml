@@ -3,11 +3,6 @@
    backwards under NTP steps. *)
 let now = Obs.Clock.now
 
-let time f =
-  let t0 = now () in
-  let r = f () in
-  (r, now () -. t0)
-
 (* Lock-free float accumulation: floats have no fetch-and-add, so CAS
    until the addition lands. Contention is low (a handful of worker
    domains recording coarse spans). *)

@@ -10,10 +10,6 @@ val now : unit -> float
     immune to wall-clock adjustment. The origin is unspecified — use
     only for durations, never as an epoch timestamp. *)
 
-val time : (unit -> 'a) -> 'a * float
-(** [time f] runs [f] and returns its result with the elapsed wall
-    time in seconds. *)
-
 type span
 (** An accumulator of timed events: total seconds and event count.
     Domain-safe: the counters are atomics, so worker domains may

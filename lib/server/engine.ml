@@ -417,7 +417,7 @@ let handle_simple t e pr =
                   stats = report.Session.repair_stats;
                 })))
     | P.Commit { choice } -> (
-      match List.nth_opt l.l_menu choice with
+      match if choice < 0 then None else List.nth_opt l.l_menu choice with
       | None ->
         answer t pr
           (Error

@@ -190,12 +190,13 @@ let field_string_default j k d =
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "field %S: expected a string" k))
 
-let field_int_default j k d =
+let field_int_default ?(min = min_int) j k d =
   match Json.member k j with
   | Json.Null -> Ok d
   | v -> (
     match Json.to_int_opt v with
-    | Some n -> Ok n
+    | Some n when n >= min -> Ok n
+    | Some _ -> Error (Printf.sprintf "field %S: expected an integer >= %d" k min)
     | None -> Error (Printf.sprintf "field %S: expected an integer" k))
 
 let field_bool_default j k d =
@@ -265,10 +266,10 @@ let request_of_json j =
         let* blame = field_bool_default j "blame" false in
         Ok (Recheck { blame })
       | "rerepair" ->
-        let* limit = field_int_default j "limit" 16 in
+        let* limit = field_int_default ~min:1 j "limit" 16 in
         Ok (Rerepair { limit })
       | "commit" ->
-        let* choice = field_int_default j "choice" 0 in
+        let* choice = field_int_default ~min:0 j "choice" 0 in
         Ok (Commit { choice })
       | "snapshot" -> Ok Snapshot
       | "close" -> Ok Close

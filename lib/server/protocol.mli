@@ -46,8 +46,9 @@ type request =
   | Open of open_spec
   | Apply_edits of { models : string }
   | Recheck of { blame : bool }
-  | Rerepair of { limit : int }
-  | Commit of { choice : int }  (** index into the last rerepair menu *)
+  | Rerepair of { limit : int }  (** menu size cap; the codec requires [>= 1] *)
+  | Commit of { choice : int }
+      (** index into the last rerepair menu; the codec requires [>= 0] *)
   | Snapshot  (** force a durable snapshot; the session stays live *)
   | Close
   | Stats

@@ -293,6 +293,48 @@ let test_enforce_all_limit () =
   | Ok outcomes -> Alcotest.(check int) "limit respected" 2 (List.length outcomes)
   | Error e -> Alcotest.fail e
 
+let test_enforce_all_rejects_limit () =
+  let trans = F.transformation ~k:2 in
+  let cfs = [ F.configuration ~name:"cf1" [ "A" ]; F.configuration ~name:"cf2" [ "A" ] ] in
+  let fm = F.feature_model ~name:"fm" [ ("A", false) ] in
+  List.iter
+    (fun (limit, jobs) ->
+      match
+        Echo.Engine.enforce_all ~limit ~jobs trans ~metamodels:F.metamodels
+          ~models:(F.bind ~cfs ~fm)
+          ~targets:(Echo.Target.of_list [ "cf1"; "cf2"; "fm" ])
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "limit %d (jobs %d) must be rejected" limit jobs)
+    [ (0, 1); (-1, 1); (0, 2) ]
+
+let test_enforce_all_iterations_total () =
+  (* Every entry reports the whole run's solver calls. A symmetric
+     space — three mandatory features created from three
+     interchangeable slack objects, no SBPs — gives a multi-entry
+     menu whose entries were found at different iterations. *)
+  let trans = F.transformation ~k:1 in
+  let cfs = [ F.configuration ~name:"cf1" [] ] in
+  let fm =
+    F.feature_model ~name:"fm" (List.init 3 (fun i -> (Printf.sprintf "F%d" i, true)))
+  in
+  match
+    Echo.Engine.enforce_all ~sbp:false ~jobs:1 ~slack_objects:3 trans
+      ~metamodels:F.metamodels ~models:(F.bind ~cfs ~fm)
+      ~targets:(Echo.Target.single "cf1")
+  with
+  | Error e -> Alcotest.fail e
+  | Ok outcomes ->
+    let entries =
+      List.filter_map (function Echo.Engine.Enforced r -> Some r | _ -> None) outcomes
+    in
+    Alcotest.(check bool) "several entries" true (List.length entries > 1);
+    List.iter
+      (fun (r : Echo.Engine.enforce_result) ->
+        Alcotest.(check int) "iterations = stats.solver_calls"
+          r.Echo.Engine.stats.Echo.Telemetry.solver_calls r.Echo.Engine.iterations)
+      entries
+
 let test_enforce_all_symmetry_dedup () =
   (* object creation draws from interchangeable slack atoms; symmetry
      breaking + decoded-state dedup must collapse the isomorphic SAT
@@ -467,6 +509,10 @@ let suite =
     Alcotest.test_case "enforce_all cannot restore" `Quick test_enforce_all_cannot;
     Alcotest.test_case "enforce_all already consistent" `Quick test_enforce_all_consistent;
     Alcotest.test_case "enforce_all limit" `Quick test_enforce_all_limit;
+    Alcotest.test_case "enforce_all rejects limit < 1" `Quick
+      test_enforce_all_rejects_limit;
+    Alcotest.test_case "enforce_all entries carry total iterations" `Quick
+      test_enforce_all_iterations_total;
     Alcotest.test_case "symmetry dedup" `Quick test_enforce_all_symmetry_dedup;
     Alcotest.test_case "repair idempotent (hippocratic)" `Slow test_repair_idempotent;
     Alcotest.test_case "primitive domain parsing" `Quick test_primitive_domain_parse;

@@ -489,6 +489,24 @@ let test_replay_parse_errors () =
   | Ok _ -> Alcotest.fail "expected one empty step"
   | Error e -> Alcotest.fail e
 
+let test_rerepair_rejects_limit () =
+  (* a repairable state: the mandatory feature A is missing from cf2 *)
+  let sess =
+    open_exn
+      ~cfs:[ F.configuration ~name:"cf1" [ "A" ]; F.configuration ~name:"cf2" [] ]
+      ~fm:(F.feature_model ~name:"fm" [ ("A", true) ])
+      [ "cf1"; "cf2" ]
+  in
+  List.iter
+    (fun limit ->
+      match S.rerepair ~limit sess with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "limit %d must be rejected" limit)
+    [ 0; -1 ];
+  match (rerepair_exn ~limit:1 sess).S.outcome with
+  | S.Repaired [ _ ] -> ()
+  | _ -> Alcotest.fail "limit 1 must yield a one-entry menu"
+
 let suite =
   [
     Alcotest.test_case "walk: recheck equals Check.run" `Quick
@@ -503,4 +521,6 @@ let suite =
     Alcotest.test_case "warm recheck beats from-scratch (E9)" `Quick
       test_warm_beats_scratch;
     Alcotest.test_case "replay script parsing" `Quick test_replay_parse_errors;
+    Alcotest.test_case "rerepair rejects limit < 1" `Quick
+      test_rerepair_rejects_limit;
   ]

@@ -390,56 +390,6 @@ let test_enforce_all_adaptive_shards () =
         s.Sc.restorable)
     Sc.all
 
-let test_portfolio_wins_counted () =
-  (* The BENCH_2..4 mystery: both portfolio win counters were zero
-     because no caller ever raced (jobs defaulted to 1, which degrades
-     Portfolio to the ladder). Assert the accounting works when a race
-     does run: every race increments [portfolio_races], and a race
-     that repairs successfully credits exactly one lane. *)
-  let races = Obs.Metrics.counter "echo.engine.portfolio_races" in
-  let it_wins = Obs.Metrics.counter "echo.engine.portfolio_iterative_wins" in
-  let mx_wins = Obs.Metrics.counter "echo.engine.portfolio_maxsat_wins" in
-  let snap () =
-    ( Obs.Metrics.counter_value races,
-      Obs.Metrics.counter_value it_wins + Obs.Metrics.counter_value mx_wins )
-  in
-  let races0, wins0 = snap () in
-  let trans = F.transformation ~k:2 in
-  let repaired = ref 0 in
-  List.iter
-    (fun (s : Sc.t) ->
-      List.iter
-        (fun targets ->
-          match enforce ~backend:Eng.Portfolio ~jobs:2 trans s targets with
-          | Ok (Eng.Enforced _) -> incr repaired
-          | _ -> ())
-        s.Sc.restorable)
-    Sc.all;
-  let races1, wins1 = snap () in
-  Alcotest.(check bool) "some portfolio race actually repaired" true
-    (!repaired > 0);
-  Alcotest.(check bool) "every repair came from a counted race" true
-    (races1 - races0 >= !repaired);
-  Alcotest.(check int) "every successful race credited one winning lane"
-    !repaired (wins1 - wins0)
-
-let test_portfolio_agrees () =
-  let trans = F.transformation ~k:2 in
-  List.iter
-    (fun (s : Sc.t) ->
-      List.iter
-        (fun targets ->
-          let name =
-            Printf.sprintf "%s -> {%s}" s.Sc.s_name (String.concat "," targets)
-          in
-          let d1 = distance name (enforce ~jobs:1 trans s targets) in
-          let dp =
-            distance name (enforce ~backend:Eng.Portfolio ~jobs:2 trans s targets)
-          in
-          Alcotest.(check (option int)) name d1 dp)
-        (s.Sc.restorable @ s.Sc.not_restorable))
-    Sc.all
-
 let suite =
   [
     Alcotest.test_case "inline pool (jobs = 1)" `Quick test_inline_pool;
@@ -463,8 +413,4 @@ let suite =
       test_enforce_all_jobs_invariant;
     Alcotest.test_case "enforce_all canonical under adaptive sharding" `Slow
       test_enforce_all_adaptive_shards;
-    Alcotest.test_case "portfolio wins are counted" `Slow
-      test_portfolio_wins_counted;
-    Alcotest.test_case "portfolio agrees with iterative" `Slow
-      test_portfolio_agrees;
   ]

@@ -224,6 +224,9 @@ let test_codec_rejects_malformed () =
         {|{"id":1,"verb":"recheck","session":"s","blame":"yes"}|} );
       ( "mistyped id",
         {|{"id":"one","verb":"recheck","session":"s"}|} );
+      ( "negative choice",
+        {|{"id":1,"verb":"commit","session":"s","choice":-1}|} );
+      ("zero limit", {|{"id":1,"verb":"rerepair","session":"s","limit":0}|});
     ]
   in
   List.iter
@@ -641,6 +644,36 @@ let test_engine_addressing () =
   | _ -> Alcotest.fail "expected Stats_snapshot");
   E.shutdown eng
 
+let test_engine_out_of_range_requests () =
+  (* In-process callers bypass the codec: out-of-range choices and
+     limits get error replies and leave the session answering. *)
+  List.iter
+    (fun jobs ->
+      let eng =
+        E.create ~jobs ~max_live:4
+          ~snapshot_dir:(tmpdir (Printf.sprintf "range%d" jobs))
+          ()
+      in
+      let sp = spec (models_text ~cf1:[ "A" ] ~cf2:[] ~fm:base_fm) in
+      ignore (ok "open" (call eng (P.Open sp)));
+      let outcome, menu = repaired "rerepair" (call eng (P.Rerepair { limit = 4 })) in
+      Alcotest.(check string) "repairable" "repaired" outcome;
+      List.iter
+        (fun choice ->
+          check_contains "out-of-range choice" ~sub:"no repair"
+            (err "bad commit" (call eng (P.Commit { choice }))))
+        [ -1; List.length menu ];
+      ignore (err "rerepair limit 0" (call eng (P.Rerepair { limit = 0 })));
+      let consistent, _ = checked "recheck" (call eng (P.Recheck { blame = false })) in
+      Alcotest.(check bool) "still inconsistent" false consistent;
+      (match ok "commit 0" (call eng (P.Commit { choice = 0 })) with
+      | P.Committed -> ()
+      | _ -> Alcotest.fail "expected Committed");
+      let consistent, _ = checked "recheck" (call eng (P.Recheck { blame = false })) in
+      Alcotest.(check bool) "the menu survived the rejected requests" true consistent;
+      E.shutdown eng)
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry plane: queue-wait accounting, request log, slow counter   *)
 
@@ -805,6 +838,8 @@ let suite =
       test_lru_never_loses_edits;
     Alcotest.test_case "addressing errors and stats" `Quick
       test_engine_addressing;
+    Alcotest.test_case "out-of-range commit and limit" `Quick
+      test_engine_out_of_range_requests;
     Alcotest.test_case "queue-wait accounting and request log" `Quick
       test_queue_accounting_and_reqlog;
     Alcotest.test_case "sessions_json lists every session" `Quick
